@@ -13,6 +13,7 @@
 #include "core/arch_ilp.hpp"
 #include "core/ilp_ar.hpp"
 #include "eps/eps_template.hpp"
+#include "ilp/solver.hpp"
 #include "lp/engine.hpp"
 #include "support/rng.hpp"
 
@@ -174,6 +175,31 @@ TEST(SparseEngine, StatsReportBasisMaintenance) {
   SimplexEngine dense(p, dense_options());
   ASSERT_EQ(dense.solve_from_scratch().status, SolveStatus::kOptimal);
   EXPECT_EQ(dense.stats().eta_updates, 0);  // the oracle keeps no eta file
+}
+
+TEST(SparseEngine, RepeatedIlpArSolvesAreIdentical) {
+  // The EPS g2 ILP-AR search activates the anti-degeneracy perturbation
+  // while retired phase-1 artificials are still basic; their costs must not
+  // read past the perturbation vector, or the node LPs (and so the tree)
+  // depend on whatever lies beyond it. Two fresh solvers in one process
+  // must walk the identical tree.
+  eps::EpsSpec spec;
+  spec.num_generators = 2;
+  const eps::EpsTemplate eps = eps::make_eps_template(spec);
+  core::ArchitectureIlp ilp = eps::make_eps_ilp(eps);
+  core::IlpArOptions options;
+  options.target_failure = 1e-3;
+  core::encode_ilp_ar(ilp, options);
+
+  ilp::BranchAndBoundSolver first_solver;
+  const ilp::IlpResult first = first_solver.solve(ilp.model());
+  ASSERT_EQ(first.status, ilp::IlpStatus::kOptimal);
+  ilp::BranchAndBoundSolver second_solver;
+  const ilp::IlpResult second = second_solver.solve(ilp.model());
+  ASSERT_EQ(second.status, ilp::IlpStatus::kOptimal);
+  EXPECT_EQ(first.nodes_explored, second.nodes_explored);
+  EXPECT_EQ(first.objective, second.objective);
+  EXPECT_EQ(first.x, second.x);
 }
 
 }  // namespace
