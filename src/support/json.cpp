@@ -86,8 +86,19 @@ class Parser {
         if (!consume_literal("false")) fail("bad literal");
         return Value(false);
       case '"': return Value(parse_string());
-      case '[': return parse_array();
-      case '{': return parse_object();
+      case '[':
+      case '{': {
+        // One recursion level per bracket: bound it so a hostile "[[[[..."
+        // line fails here instead of overflowing the stack.
+        if (depth_ == kMaxNestingDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxNestingDepth) +
+               " levels");
+        }
+        ++depth_;
+        Value v = text_[pos_] == '[' ? parse_array() : parse_object();
+        --depth_;
+        return v;
+      }
       default: return parse_number();
     }
   }
@@ -209,6 +220,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // arrays/objects currently open
 };
 
 void write_escaped(std::ostream& os, const std::string& s) {

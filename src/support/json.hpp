@@ -147,7 +147,14 @@ class Value {
   std::shared_ptr<Object> object_;
 };
 
-/// Parse a complete JSON document; trailing garbage is an error.
+/// Deepest array/object nesting parse() accepts. The parser recurses once
+/// per level, so an unbounded depth lets one hostile line ("[[[[...")
+/// overflow the stack; deeper documents raise JsonParseError instead. No
+/// ARCHEX document nests more than a handful of levels.
+inline constexpr int kMaxNestingDepth = 256;
+
+/// Parse a complete JSON document; trailing garbage and nesting deeper than
+/// kMaxNestingDepth are errors.
 [[nodiscard]] Value parse(std::string_view text);
 
 /// Serialize; `indent` > 0 pretty-prints with that many spaces per level.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "support/json.hpp"
 #include "support/rng.hpp"
@@ -87,6 +88,34 @@ TEST(Json, ParseErrorAtEndOfInputPointsPastLastByte) {
   // Every malformed-input error is the position-carrying subtype.
   EXPECT_THROW((void)parse("tru"), JsonParseError);
   EXPECT_THROW((void)parse(""), JsonParseError);
+}
+
+TEST(Json, NestingDepthIsBounded) {
+  // The deepest accepted nesting parses, arrays and objects alike.
+  const std::string deep_ok = std::string(kMaxNestingDepth, '[') +
+                              std::string(kMaxNestingDepth, ']');
+  EXPECT_NO_THROW((void)parse(deep_ok));
+  std::string objects;
+  for (int i = 0; i < kMaxNestingDepth; ++i) objects += "{\"a\":";
+  objects += "1" + std::string(kMaxNestingDepth, '}');
+  EXPECT_NO_THROW((void)parse(objects));
+
+  // One level deeper fails at the offending bracket.
+  try {
+    (void)parse(std::string(kMaxNestingDepth + 1, '['));
+    FAIL() << "expected JsonParseError";
+  } catch (const JsonParseError& e) {
+    EXPECT_EQ(e.line(), 1u);
+    EXPECT_EQ(e.byte(), static_cast<std::size_t>(kMaxNestingDepth));
+    EXPECT_NE(std::string(e.what()).find("nesting"), std::string::npos);
+  }
+
+  // A hostile line far past any stack the recursion could survive is a
+  // parse error, not a crash; mixed brackets count alike.
+  EXPECT_THROW((void)parse(std::string(200000, '[')), JsonParseError);
+  std::string mixed;
+  for (int i = 0; i < 100000; ++i) mixed += "[{\"k\":";
+  EXPECT_THROW((void)parse(mixed), JsonParseError);
 }
 
 TEST(Json, TypeMismatchThrows) {

@@ -153,6 +153,27 @@ TEST(SolveServerTest, MalformedLineGetsErrorResponseAndConnectionSurvives) {
   EXPECT_EQ(server.stats().malformed, 1);
 }
 
+TEST(SolveServerTest, DeeplyNestedLineGetsErrorResponseAndConnectionSurvives) {
+  server::SolveServer server;
+  server.start();
+
+  support::TcpStream client =
+      support::TcpStream::connect("127.0.0.1", server.port());
+  client.write_line(std::string(200000, '['));
+  std::string line;
+  ASSERT_TRUE(client.read_line(line));
+  const core::SolveResponse error = core::response_from_json(line);
+  EXPECT_EQ(error.status, "error");
+  EXPECT_NE(error.error.find("nesting"), std::string::npos);
+
+  const core::SolveResponse ok =
+      exchange(client, eps_request("r-after-deep", 1, 1e-4));
+  EXPECT_EQ(ok.status, "unfeasible");
+
+  server.stop();
+  EXPECT_EQ(server.stats().malformed, 1);
+}
+
 TEST(SolveServerTest, ConcurrentClientsShareTheCache) {
   server::SolveServerOptions options;
   options.workers = 4;
