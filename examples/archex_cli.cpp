@@ -55,8 +55,8 @@ struct Args {
   bool cuts = false;
   double time_limit = 300.0;
   int threads = 0;  // 0 = serial branch & bound
-  /// Disable the solver's cut-and-branch layer (cutting planes, pseudocost
-  /// branching, reduced-cost fixing) for A/B comparisons.
+  /// Disable the solver's search refinements (pseudocost branching,
+  /// reduced-cost fixing, learning) for A/B comparisons.
   bool plain_bnb = false;
   /// Conflict-driven nogood learning (DESIGN.md §4g); on by default,
   /// --no-learning turns it off for A/B comparisons.
@@ -171,7 +171,6 @@ int cmd_synth(const Args& a) {
   bopt.threads = a.threads;  // >= 2 enables the work-stealing tree search
   bopt.learning = a.learning;
   if (a.plain_bnb) {
-    bopt.cuts = false;
     bopt.pseudocost = false;
     bopt.rc_fixing = false;
     bopt.learning = false;
@@ -189,9 +188,9 @@ int cmd_synth(const Args& a) {
                 "%.2fs)\n",
                 to_string(rep.status).c_str(), rep.num_iterations(),
                 rep.analysis_seconds, rep.solver_seconds);
-    std::printf("solver: %ld nodes, %ld cuts, %ld rc-fixings, %ld pseudocost "
+    std::printf("solver: %ld nodes, %ld rc-fixings, %ld pseudocost "
                 "branchings\n",
-                rep.solver_nodes, rep.solver_cuts_added, rep.solver_rc_fixings,
+                rep.solver_nodes, rep.solver_rc_fixings,
                 rep.solver_pseudocost_branches);
     if (bopt.learning) {
       std::printf("learning: %ld nogoods (%ld oracle), %ld prunings, "
@@ -212,9 +211,9 @@ int cmd_synth(const Args& a) {
     std::printf("ILP-AR: %s (%d constraints, setup %.2fs, solver %.2fs)\n",
                 to_string(rep.status).c_str(), rep.num_constraints,
                 rep.setup_seconds, rep.solver_seconds);
-    std::printf("solver: %ld nodes, %ld cuts, %ld rc-fixings, %ld pseudocost "
+    std::printf("solver: %ld nodes, %ld rc-fixings, %ld pseudocost "
                 "branchings\n",
-                rep.solver_nodes, rep.solver_cuts_added, rep.solver_rc_fixings,
+                rep.solver_nodes, rep.solver_rc_fixings,
                 rep.solver_pseudocost_branches);
     if (bopt.learning) {
       std::printf("learning: %ld nogoods, %ld prunings, store %ld\n",

@@ -26,7 +26,6 @@
 #include "core/ilp_mr.hpp"
 #include "core/pareto.hpp"
 #include "eps/eps_template.hpp"
-#include "ilp/cutgen.hpp"
 #include "ilp/model.hpp"
 #include "ilp/mps.hpp"
 #include "ilp/solver.hpp"
@@ -172,12 +171,8 @@ TEST(IlpDifferential, ParallelMatchesSerialAndBalasOn240Instances) {
     const Model m = make_random_model(rng);
     ASSERT_TRUE(m.pure_binary());
 
-    // The serial reference runs the full cut-and-branch layer (cuts are
-    // opt-in; the differential is the layer's correctness harness).
-    BranchAndBoundOptions sopt;
-    sopt.cuts = true;
-    BranchAndBoundSolver serial(sopt);
-    const IlpResult s = serial.solve(m);
+    // The serial reference runs the default configuration.
+    const IlpResult s = BranchAndBoundSolver().solve(m);
     ASSERT_TRUE(s.status == IlpStatus::kOptimal ||
                 s.status == IlpStatus::kInfeasible)
         << "instance " << i << ": " << to_string(s.status);
@@ -211,7 +206,6 @@ TEST(IlpDifferential, ParallelMatchesSerialAndBalasOn240Instances) {
     // may be a different equal-cost optimum).
     const int threads = kThreadCounts[i % 4];
     BranchAndBoundOptions popt;
-    popt.cuts = true;
     popt.threads = threads;
     const IlpResult p = BranchAndBoundSolver(popt).solve(m);
     ASSERT_EQ(s.status, p.status)
@@ -228,7 +222,6 @@ TEST(IlpDifferential, ParallelMatchesSerialAndBalasOn240Instances) {
     // bit-for-bit: node ordering (hence node/prune counts), objective and
     // assignment.
     BranchAndBoundOptions dopt;
-    dopt.cuts = true;
     dopt.threads = 4;
     dopt.deterministic = true;
     const IlpResult d = BranchAndBoundSolver(dopt).solve(m);
@@ -263,18 +256,17 @@ TEST(IlpDifferential, SerialStatsAreUnchangedByThreadsOne) {
   }
 }
 
-// ---- cut-and-branch differentials ----------------------------------------------
+// ---- search-refinement differentials -------------------------------------------
 
-/// The cut layer, pseudocost branching and reduced-cost fixing must never
-/// change *what* is found, only how fast: every configuration agrees with
-/// the plain B&B on status and objective, serially and at 4 threads.
+/// Pseudocost branching and reduced-cost fixing must never change *what* is
+/// found, only how fast: every configuration agrees with the plain B&B on
+/// status and objective, serially and at 4 threads.
 TEST(IlpDifferential, CutAndBranchConfigsAgreeWithPlainSearch) {
   Rng rng(0xc075a9e5eedULL);
   for (int i = 0; i < 60; ++i) {
     const Model m = make_random_model(rng);
 
     BranchAndBoundOptions plain;
-    plain.cuts = false;
     plain.pseudocost = false;
     plain.rc_fixing = false;
     const IlpResult base = BranchAndBoundSolver(plain).solve(m);
@@ -284,19 +276,16 @@ TEST(IlpDifferential, CutAndBranchConfigsAgreeWithPlainSearch) {
 
     struct Config {
       const char* name;
-      bool cuts;
       bool pseudocost;
       bool rc_fixing;
     };
     constexpr Config kConfigs[] = {
-        {"cuts", true, false, false},
-        {"pseudocost", false, true, false},
-        {"full", true, true, true},
+        {"pseudocost", true, false},
+        {"pseudocost+rc-fixing", true, true},
     };
     for (const Config& cfg : kConfigs) {
       for (const int threads : {0, 4}) {
         BranchAndBoundOptions opt;
-        opt.cuts = cfg.cuts;
         opt.pseudocost = cfg.pseudocost;
         opt.rc_fixing = cfg.rc_fixing;
         opt.threads = threads;
@@ -424,72 +413,6 @@ TEST(IlpDifferential, RcFixingFromStaleIncumbentKeepsTheOptimum) {
       EXPECT_EQ(s.x, p.x);
     }
   }
-}
-
-/// Every separated cut must be valid: satisfied by *every* integer-feasible
-/// point of the instance (brute-forced over the full 0/1 hypercube), while
-/// genuinely cutting off the fractional LP optimum it was separated at.
-TEST(IlpDifferential, SeparatedCutsValidOnEveryFeasiblePoint) {
-  Rng rng(0x5eedc10c5ULL);
-  int cuts_checked = 0;
-  for (int i = 0; i < 80; ++i) {
-    const Model m = make_random_model(rng);
-    const int n = m.num_variables();
-    if (n > 16) continue;
-    const lp::Problem p = m.to_lp();
-
-    std::vector<bool> is_binary(static_cast<std::size_t>(n));
-    std::vector<bool> is_integer(static_cast<std::size_t>(n));
-    for (int j = 0; j < n; ++j) {
-      const bool box01 = p.col_lo(j) == 0.0 && p.col_up(j) == 1.0;
-      is_binary[static_cast<std::size_t>(j)] = box01;
-      is_integer[static_cast<std::size_t>(j)] = true;
-    }
-
-    const lp::Solution rel = lp::solve(p, lp::SimplexOptions{});
-    if (rel.status != lp::SolveStatus::kOptimal) continue;
-
-    CutGenerator gen(p, is_binary, is_integer);
-    std::vector<Cut> cuts = gen.separate_rowwise(rel.x);
-    {
-      lp::SimplexEngine engine(p, lp::SimplexOptions{});
-      const lp::Solution es = engine.solve_from_scratch();
-      if (es.status == lp::SolveStatus::kOptimal) {
-        const std::vector<Cut> gomory = gen.separate_gomory(engine, 8);
-        cuts.insert(cuts.end(), gomory.begin(), gomory.end());
-      }
-    }
-    if (cuts.empty()) continue;
-
-    // Each cut must be violated at the LP point it was separated from.
-    for (const Cut& cut : cuts) {
-      EXPECT_FALSE(cut_satisfied(cut, rel.x, 1e-7))
-          << "instance " << i << ": cut does not cut off the LP optimum";
-    }
-
-    // ... and satisfied at every integer-feasible point.
-    std::vector<double> z(static_cast<std::size_t>(n));
-    for (std::uint64_t mask = 0; mask < (1ull << n); ++mask) {
-      bool in_box = true;
-      for (int j = 0; j < n; ++j) {
-        z[static_cast<std::size_t>(j)] =
-            (mask >> j) & 1u ? 1.0 : 0.0;
-        if (z[static_cast<std::size_t>(j)] < p.col_lo(j) - 0.5 ||
-            z[static_cast<std::size_t>(j)] > p.col_up(j) + 0.5) {
-          in_box = false;
-          break;
-        }
-      }
-      if (!in_box || !m.is_feasible(z, 1e-6)) continue;
-      for (std::size_t c = 0; c < cuts.size(); ++c) {
-        ASSERT_TRUE(cut_satisfied(cuts[c], z, 1e-6))
-            << "instance " << i << " cut " << c << " mask " << mask;
-      }
-    }
-    cuts_checked += static_cast<int>(cuts.size());
-  }
-  // The generator must have actually exercised the validity check.
-  EXPECT_GE(cuts_checked, 20);
 }
 
 // ---- kTimeLimit regression -----------------------------------------------------

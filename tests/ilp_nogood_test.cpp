@@ -199,16 +199,16 @@ void expect_valid_certificate(const lp::Problem& p,
   std::vector<double> z;
   double margin = 0.0;
   ASSERT_TRUE(engine.farkas_ray(z, margin));
-  ASSERT_EQ(z.size(), static_cast<std::size_t>(engine.num_structural() +
-                                               engine.num_rows()));
+  ASSERT_EQ(z.size(), static_cast<std::size_t>(p.num_variables() +
+                                               p.num_constraints()));
   EXPECT_GT(margin, 0.0);
 
   std::vector<double> lo, up;
-  for (int j = 0; j < engine.num_structural(); ++j) {
+  for (int j = 0; j < p.num_variables(); ++j) {
     lo.push_back(engine.col_lo(j));
     up.push_back(engine.col_up(j));
   }
-  for (int i = 0; i < engine.num_rows(); ++i) {
+  for (int i = 0; i < p.num_constraints(); ++i) {
     lo.push_back(p.row_lo(i));
     up.push_back(p.row_up(i));
   }
